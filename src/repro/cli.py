@@ -241,22 +241,14 @@ def cmd_experiment(args) -> int:
                 workers=workers, cache=args.cache_dir, progress=progress,
                 engine=args.engine, tally=args.tally, **robust
             )
-        elif name == "table1":
-            result = experiments.run_table1(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
-        elif name == "table2":
-            result = experiments.run_table2(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
-        elif name == "table3":
-            result = experiments.run_table3(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
+        elif name in ("table1", "table2", "table3", "table6"):
+            run_table = getattr(experiments, f"run_{name}")
+            result = run_table(stride=args.stride, workers=workers,
+                               progress=progress, **model, **robust)
         elif name == "table4":
             result = experiments.run_table4()
         elif name == "table5":
             result = experiments.run_table5()
-        elif name == "table6":
-            result = experiments.run_table6(stride=args.stride, workers=workers,
-                                            progress=progress, **model, **robust)
         elif name == "table7":
             result = experiments.run_table7()
         elif name == "search":

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.experiments.render import render_table
 from repro.firmware.loops import GUARD_KINDS, guard_descriptor
 from repro.hw.faults import FaultModel
+from repro.hw.models import run_model_axis
 from repro.hw.scan import SingleGlitchScan, run_single_glitch_scan
 
 #: paper totals: successes, attempts-per-cycle basis, success rate
@@ -85,27 +86,21 @@ def run_table1(
     The default is the paper's clock model, bit-identical to before the
     registry existed.
     """
-    from repro.hw.models import model_checkpoint_dir as _model_checkpoint_dir
-    from repro.hw.models import resolve_model_axis
-    from repro.obs import coerce_observer
 
-    axis = resolve_model_axis(fault_model, fault_models, profile)
-    obs = coerce_observer(obs)
-    result = Table1Result()
-    with obs.trace("table1", stride=stride):
-        for label, model in axis:
-            scans: dict[str, SingleGlitchScan] = {}
-            for guard in GUARD_KINDS:
-                scans[guard] = run_single_glitch_scan(
-                    guard, cycles=cycles, stride=stride, fault_model=model,
-                    workers=workers, progress=progress,
-                    checkpoint_dir=_model_checkpoint_dir(checkpoint_dir, label, axis),
-                    resume=resume,
-                    retries=retries, unit_timeout=unit_timeout, obs=obs,
-                )
-            result.by_model[label] = scans
-    result.scans = next(iter(result.by_model.values()))
-    return result
+    def scans(model, **execution) -> dict[str, SingleGlitchScan]:
+        return {
+            guard: run_single_glitch_scan(
+                guard, cycles=cycles, stride=stride, fault_model=model, **execution
+            )
+            for guard in GUARD_KINDS
+        }
+
+    by_model = run_model_axis(
+        "table1", scans, stride, fault_model, fault_models, profile, checkpoint_dir, obs,
+        workers=workers, progress=progress, resume=resume, retries=retries,
+        unit_timeout=unit_timeout,
+    )
+    return Table1Result(scans=next(iter(by_model.values())), by_model=by_model)
 
 
 __all__ = ["Table1Result", "run_table1", "PAPER_TOTALS"]

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.experiments.render import render_table
 from repro.firmware.loops import GUARD_KINDS, guard_descriptor
 from repro.hw.faults import FaultModel
+from repro.hw.models import run_model_axis
 from repro.hw.scan import MultiGlitchScan, run_multi_glitch_scan
 
 #: paper totals per guard: (partial rate, full rate, reduction factor)
@@ -82,26 +83,21 @@ def run_table2(
     fault_models=None,
 ) -> Table2Result:
     """Run Table II, optionally once per fault model (see :func:`run_table1`)."""
-    from repro.hw.models import model_checkpoint_dir, resolve_model_axis
-    from repro.obs import coerce_observer
 
-    axis = resolve_model_axis(fault_model, fault_models, profile)
-    obs = coerce_observer(obs)
-    result = Table2Result()
-    with obs.trace("table2", stride=stride):
-        for label, model in axis:
-            scans: dict[str, MultiGlitchScan] = {}
-            for guard in GUARD_KINDS:
-                scans[guard] = run_multi_glitch_scan(
-                    guard, cycles=cycles, stride=stride, fault_model=model,
-                    workers=workers, progress=progress,
-                    checkpoint_dir=model_checkpoint_dir(checkpoint_dir, label, axis),
-                    resume=resume,
-                    retries=retries, unit_timeout=unit_timeout, obs=obs,
-                )
-            result.by_model[label] = scans
-    result.scans = next(iter(result.by_model.values()))
-    return result
+    def scans(model, **execution) -> dict[str, MultiGlitchScan]:
+        return {
+            guard: run_multi_glitch_scan(
+                guard, cycles=cycles, stride=stride, fault_model=model, **execution
+            )
+            for guard in GUARD_KINDS
+        }
+
+    by_model = run_model_axis(
+        "table2", scans, stride, fault_model, fault_models, profile, checkpoint_dir, obs,
+        workers=workers, progress=progress, resume=resume, retries=retries,
+        unit_timeout=unit_timeout,
+    )
+    return Table2Result(scans=next(iter(by_model.values())), by_model=by_model)
 
 
 __all__ = ["Table2Result", "run_table2", "PAPER_TOTALS"]

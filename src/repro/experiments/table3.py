@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.experiments.render import render_table
 from repro.firmware.loops import GUARD_KINDS
 from repro.hw.faults import FaultModel
+from repro.hw.models import run_model_axis
 from repro.hw.scan import LongGlitchScan, run_long_glitch_scan
 
 #: paper totals: long-glitch success rates
@@ -55,11 +56,6 @@ class Table3Result:
             parts.append(body + f"\npaper totals: {reference}")
         return "\n\n".join(parts)
 
-    def not_a_resists_long_glitches(self) -> bool:
-        """§V-D: 'The condition that was previously the most vulnerable,
-        while(!a), faired much better against this attack.'"""
-        return True  # compared against Table I in the benchmark harness
-
 
 def run_table3(
     stride: int = 1,
@@ -76,26 +72,21 @@ def run_table3(
     fault_models=None,
 ) -> Table3Result:
     """Run Table III, optionally once per fault model (see :func:`run_table1`)."""
-    from repro.hw.models import model_checkpoint_dir, resolve_model_axis
-    from repro.obs import coerce_observer
 
-    axis = resolve_model_axis(fault_model, fault_models, profile)
-    obs = coerce_observer(obs)
-    result = Table3Result()
-    with obs.trace("table3", stride=stride):
-        for label, model in axis:
-            scans: dict[str, LongGlitchScan] = {}
-            for guard in GUARD_KINDS:
-                scans[guard] = run_long_glitch_scan(
-                    guard, last_cycles=last_cycles, stride=stride, fault_model=model,
-                    workers=workers, progress=progress,
-                    checkpoint_dir=model_checkpoint_dir(checkpoint_dir, label, axis),
-                    resume=resume,
-                    retries=retries, unit_timeout=unit_timeout, obs=obs,
-                )
-            result.by_model[label] = scans
-    result.scans = next(iter(result.by_model.values()))
-    return result
+    def scans(model, **execution) -> dict[str, LongGlitchScan]:
+        return {
+            guard: run_long_glitch_scan(
+                guard, last_cycles=last_cycles, stride=stride, fault_model=model, **execution
+            )
+            for guard in GUARD_KINDS
+        }
+
+    by_model = run_model_axis(
+        "table3", scans, stride, fault_model, fault_models, profile, checkpoint_dir, obs,
+        workers=workers, progress=progress, resume=resume, retries=retries,
+        unit_timeout=unit_timeout,
+    )
+    return Table3Result(scans=next(iter(by_model.values())), by_model=by_model)
 
 
 __all__ = ["Table3Result", "run_table3", "PAPER_TOTALS"]

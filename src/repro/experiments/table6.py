@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.experiments.render import render_table
 from repro.firmware.guards import build_defended_guard
 from repro.hw.faults import FaultModel
+from repro.hw.models import run_model_axis
 from repro.hw.scan import DefenseScanResult, run_defense_scan
 from repro.resistor import ResistorConfig
 
@@ -112,39 +113,25 @@ def run_table6(
     fault_models=None,
 ) -> Table6Result:
     """Run Table VI, optionally once per fault model (see :func:`run_table1`)."""
-    from repro.hw.models import model_checkpoint_dir, resolve_model_axis
-    from repro.obs import coerce_observer
 
-    axis = resolve_model_axis(fault_model, fault_models, profile)
-    obs = coerce_observer(obs)
-    result = Table6Result()
-    with obs.trace("table6", stride=stride):
-        for label, model in axis:
-            results: dict[tuple[str, str, str], DefenseScanResult] = {}
-            for scenario in scenarios:
-                for defense in defenses:
-                    hardened = build_defended_guard(scenario, DEFENSE_STACKS[defense]())
-                    for attack in attacks:
-                        results[(scenario, defense, attack)] = run_defense_scan(
-                            hardened.image,
-                            attack,
-                            scenario=scenario,
-                            defense=defense,
-                            stride=stride,
-                            fault_model=model,
-                            workers=workers,
-                            progress=progress,
-                            checkpoint_dir=model_checkpoint_dir(
-                                checkpoint_dir, label, axis
-                            ),
-                            resume=resume,
-                            retries=retries,
-                            unit_timeout=unit_timeout,
-                            obs=obs,
-                        )
-            result.by_model[label] = results
-    result.results = next(iter(result.by_model.values()))
-    return result
+    def scans(model, **execution) -> dict[tuple[str, str, str], DefenseScanResult]:
+        results = {}
+        for scenario in scenarios:
+            for defense in defenses:
+                hardened = build_defended_guard(scenario, DEFENSE_STACKS[defense]())
+                for attack in attacks:
+                    results[(scenario, defense, attack)] = run_defense_scan(
+                        hardened.image, attack, scenario=scenario, defense=defense,
+                        stride=stride, fault_model=model, **execution
+                    )
+        return results
+
+    by_model = run_model_axis(
+        "table6", scans, stride, fault_model, fault_models, profile, checkpoint_dir, obs,
+        workers=workers, progress=progress, resume=resume, retries=retries,
+        unit_timeout=unit_timeout,
+    )
+    return Table6Result(results=next(iter(by_model.values())), by_model=by_model)
 
 
 __all__ = ["Table6Result", "run_table6", "PAPER_ROWS", "ATTACKS", "SCENARIOS", "DEFENSE_STACKS"]

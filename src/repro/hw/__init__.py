@@ -22,13 +22,14 @@ with a simulated equivalent:
 - :mod:`repro.hw.search` — the Section V-B optimal-parameter search.
 """
 
-from repro.hw.clock import GlitchParams, WIDTH_RANGE, OFFSET_RANGE, iter_width_offset_grid
+from repro.hw.clock import GlitchParams, WIDTH_RANGE, OFFSET_RANGE, width_offset_grid
 from repro.hw.faults import EFFECT_KINDS, FaultEffect, FaultModel, PipelineView
 from repro.hw.em import EMFaultModel, SkipReplayModel
 from repro.hw.models import (
     CalibrationProfile,
     FAULT_MODELS,
     PROFILES,
+    model_fingerprint,
     model_label,
     register_fault_model,
     register_profile,
@@ -45,6 +46,7 @@ from repro.hw.scan import (
     run_single_glitch_scan,
     run_multi_glitch_scan,
     run_long_glitch_scan,
+    run_scan,
 )
 from repro.hw.search import ParameterSearch, SearchResult
 from repro.hw.voltage import VoltageFaultModel, VoltageGlitchParams, VoltageGlitcher
@@ -53,7 +55,7 @@ __all__ = [
     "GlitchParams",
     "WIDTH_RANGE",
     "OFFSET_RANGE",
-    "iter_width_offset_grid",
+    "width_offset_grid",
     "EFFECT_KINDS",
     "FaultEffect",
     "FaultModel",
@@ -63,6 +65,7 @@ __all__ = [
     "CalibrationProfile",
     "FAULT_MODELS",
     "PROFILES",
+    "model_fingerprint",
     "model_label",
     "register_fault_model",
     "register_profile",
@@ -81,6 +84,7 @@ __all__ = [
     "run_single_glitch_scan",
     "run_multi_glitch_scan",
     "run_long_glitch_scan",
+    "run_scan",
     "ParameterSearch",
     "SearchResult",
     "VoltageFaultModel",

@@ -15,8 +15,7 @@ reports over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 from repro.errors import GlitchConfigError
 
@@ -47,21 +46,28 @@ class GlitchParams:
         if self.repeat < 1:
             raise GlitchConfigError(f"repeat must be at least 1, got {self.repeat}")
 
-    def with_ext_offset(self, ext_offset: int) -> "GlitchParams":
-        return replace(self, ext_offset=ext_offset)
-
     def glitched_cycles(self) -> range:
         """Cycle offsets (relative to the trigger) hit by this glitch."""
         return range(self.ext_offset, self.ext_offset + self.repeat)
 
 
-def iter_width_offset_grid(
-    ext_offset: int, repeat: int = 1
-) -> Iterator[GlitchParams]:
-    """Yield the full 9,801-point (width, offset) grid for one cycle offset."""
-    for width in WIDTH_RANGE:
-        for offset in OFFSET_RANGE:
-            yield GlitchParams(ext_offset=ext_offset, width=width, offset=offset, repeat=repeat)
+def width_offset_grid(stride: int = 1) -> list[tuple[int, int]]:
+    """The (width, offset) scan grid, every ``stride``-th value on each axis.
+
+    ``stride=1`` is the paper's full 9,801-point grid; coarser strides
+    subsample it for fast runs. A non-positive or non-integer stride is
+    rejected rather than yielding an empty or reversed grid.
+    """
+    if not isinstance(stride, int) or isinstance(stride, bool):
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
+    if stride < 1:
+        raise ValueError(
+            f"stride must be >= 1, got {stride} (a non-positive stride would "
+            f"produce an empty or reversed grid and a silently wrong scan)"
+        )
+    return [
+        (width, offset) for width in WIDTH_RANGE[::stride] for offset in OFFSET_RANGE[::stride]
+    ]
 
 
 def normalized(value: int) -> float:
@@ -74,6 +80,6 @@ __all__ = [
     "WIDTH_RANGE",
     "OFFSET_RANGE",
     "GRID_POINTS",
-    "iter_width_offset_grid",
+    "width_offset_grid",
     "normalized",
 ]

@@ -19,8 +19,9 @@ makes fault models first-class pluggable objects:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.errors import GlitchConfigError
 from repro.hw.em import EMFaultModel, SkipReplayModel
@@ -176,6 +177,29 @@ def model_label(model: Optional[FaultModel]) -> str:
     return "clock"
 
 
+def model_fingerprint(model: Optional[FaultModel]) -> str:
+    """The label and constructor parameters of a model, as a checkpoint key.
+
+    Two models with the same fingerprint draw the same fault streams, so a
+    checkpoint written under one may resume under the other.  Only
+    constructor parameters (read back from the same-named attributes) are
+    included, never run state such as the voltage model's recharge marker.
+    ``None`` is the default clock model, exactly as the glitcher resolves it.
+    """
+    if model is None:
+        model = FaultModel()
+    names = set()
+    for cls in type(model).__mro__:
+        if issubclass(cls, FaultModel) and "__init__" in vars(cls):
+            for name, parameter in inspect.signature(cls.__init__).parameters.items():
+                if name != "self" and parameter.kind not in (
+                    parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD
+                ):
+                    names.add(name)
+    params = ", ".join(f"{name}={getattr(model, name, None)!r}" for name in sorted(names))
+    return f"{model_label(model)}({params})"
+
+
 def resolve_model_axis(
     fault_model: Union[FaultModel, str, None] = None,
     fault_models=None,
@@ -221,6 +245,39 @@ def model_checkpoint_dir(checkpoint_dir, label: str, axis) -> Optional[str]:
     return os.path.join(str(checkpoint_dir), label)
 
 
+def run_model_axis(
+    name: str,
+    run_model: Callable[..., Any],
+    stride: int,
+    fault_model: Union[FaultModel, str, None] = None,
+    fault_models=None,
+    profile: Union[CalibrationProfile, str, None] = None,
+    checkpoint_dir=None,
+    obs=None,
+    **execution,
+) -> dict[str, Any]:
+    """Run one experiment driver once per model on its axis.
+
+    Calls ``run_model(model, checkpoint_dir=..., obs=..., **execution)`` for
+    every ``(label, model)`` of :func:`resolve_model_axis`, inside one
+    ``name`` trace span, with each model's :func:`model_checkpoint_dir`.
+    Returns ``{label: result}`` in axis order; the first entry is the
+    driver's historical single-model result.
+    """
+    from repro.obs import coerce_observer
+
+    axis = resolve_model_axis(fault_model, fault_models, profile)
+    obs = coerce_observer(obs)
+    with obs.trace(name, stride=stride):
+        return {
+            label: run_model(
+                model, checkpoint_dir=model_checkpoint_dir(checkpoint_dir, label, axis),
+                obs=obs, **execution,
+            )
+            for label, model in axis
+        }
+
+
 __all__ = [
     "FAULT_MODELS",
     "PROFILES",
@@ -230,5 +287,7 @@ __all__ = [
     "resolve_fault_model",
     "resolve_model_axis",
     "model_label",
+    "model_fingerprint",
     "model_checkpoint_dir",
+    "run_model_axis",
 ]

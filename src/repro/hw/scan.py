@@ -1,25 +1,27 @@
-"""Parameter scans reproducing Tables I, II, and III.
+"""Parameter scans reproducing Tables I, II, III and VI.
 
-Each scan sweeps the full ``[-49, 49] × [-49, 49]`` (width, offset) grid —
-9,801 attempts — per clock cycle (or per cycle-range for long glitches)
-and tallies successes, crashes, and the post-mortem comparator register
-values the paper reports.
+Every scan is the same experiment: sweep the ``[-49, 49] × [-49, 49]``
+(width, offset) grid — 9,801 attempts — once per *unit key* (a glitched
+clock cycle, a long-glitch cycle range, or one Table VI attack-shape
+element) and tally how each attempt ends. A :class:`ScanShape` declares
+what differs between the four kinds, and :func:`run_scan` runs any of them.
 
-The serial path shares one :class:`~repro.hw.glitcher.ClockGlitcher`
-across all rows of a scan, so the glitcher's baseline replay (see
-``docs/ARCHITECTURE.md``) kicks in automatically: the pre-glitch boot up
-to the trigger cycle is simulated once per firmware image and every
-subsequent simulated attempt rewinds to that snapshot. On the
-multiprocessing path each worker builds its own glitcher and gets its
-own baseline. Tallies are identical with replay on or off
-(``benchmarks/test_bench_table1.py`` runs the differential).
+The serial path of a guard scan shares one
+:class:`~repro.hw.glitcher.ClockGlitcher` across all rows, so the
+glitcher's baseline replay (see ``docs/ARCHITECTURE.md``) kicks in
+automatically: the pre-glitch boot up to the trigger cycle is simulated
+once per firmware image and every subsequent simulated attempt rewinds to
+that snapshot. On the multiprocessing path each worker builds its own
+glitcher and gets its own baseline. Tallies are identical with replay on
+or off (``benchmarks/test_bench_table1.py`` runs the differential).
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Iterable, Optional
 
 from repro.exec import (
     FailedUnit,
@@ -27,10 +29,10 @@ from repro.exec import (
     ProgressReporter,
     open_campaign_checkpoint,
 )
-from repro.hw.clock import GRID_POINTS, GlitchParams, OFFSET_RANGE, WIDTH_RANGE
+from repro.hw.clock import GlitchParams, width_offset_grid
 from repro.hw.faults import FaultModel
-from repro.hw.glitcher import AttemptResult, ClockGlitcher
-from repro.hw.models import model_label, resolve_fault_model
+from repro.hw.glitcher import ClockGlitcher
+from repro.hw.models import model_fingerprint, resolve_fault_model
 from repro.isa.disassembler import disassemble_one
 from repro.obs import Observer, coerce_observer
 
@@ -39,44 +41,28 @@ from repro.obs import Observer, coerce_observer
 # result containers
 # ----------------------------------------------------------------------
 
+def _total(name: str) -> property:
+    """A scan property: one row field summed over all rows."""
+    return property(lambda scan: sum(getattr(row, name) for row in scan.rows))
+
+
+def _rate(name: str) -> property:
+    """A scan property: one row field's total over all attempts (0 without any)."""
+    return property(
+        lambda scan: sum(getattr(row, name) for row in scan.rows) / (scan.total_attempts or 1)
+    )
+
+
 @dataclass
 class CycleRow:
     """One Table I row: a single glitched clock cycle."""
 
     cycle: int
-    instruction: str
+    instruction: str = "-"
     attempts: int = 0
     successes: int = 0
     resets: int = 0
     register_values: Counter = field(default_factory=Counter)
-
-
-@dataclass
-class SingleGlitchScan:
-    """Table I: single glitches across the loop's clock cycles."""
-
-    guard: str
-    rows: list[CycleRow]
-    failed_units: list[FailedUnit] = field(default_factory=list)
-
-    @property
-    def total_attempts(self) -> int:
-        return sum(row.attempts for row in self.rows)
-
-    @property
-    def total_successes(self) -> int:
-        return sum(row.successes for row in self.rows)
-
-    @property
-    def success_rate(self) -> float:
-        return self.total_successes / self.total_attempts if self.total_attempts else 0.0
-
-    @property
-    def unique_register_values(self) -> int:
-        values: set[int] = set()
-        for row in self.rows:
-            values.update(row.register_values)
-        return len(values)
 
 
 @dataclass
@@ -90,35 +76,6 @@ class MultiCycleRow:
 
 
 @dataclass
-class MultiGlitchScan:
-    """Table II: two identical back-to-back glitches."""
-
-    guard: str
-    rows: list[MultiCycleRow]
-    failed_units: list[FailedUnit] = field(default_factory=list)
-
-    @property
-    def total_attempts(self) -> int:
-        return sum(row.attempts for row in self.rows)
-
-    @property
-    def total_partial(self) -> int:
-        return sum(row.partial for row in self.rows)
-
-    @property
-    def total_full(self) -> int:
-        return sum(row.full for row in self.rows)
-
-    @property
-    def partial_rate(self) -> float:
-        return self.total_partial / self.total_attempts if self.total_attempts else 0.0
-
-    @property
-    def full_rate(self) -> float:
-        return self.total_full / self.total_attempts if self.total_attempts else 0.0
-
-
-@dataclass
 class LongRangeRow:
     """One Table III row: a contiguous glitch over cycles 0..last."""
 
@@ -128,48 +85,80 @@ class LongRangeRow:
 
 
 @dataclass
-class LongGlitchScan:
-    """Table III: long glitches over two subsequent loops."""
+class _GuardScan:
+    """The rows of one guard scan, in key order, and its quarantined units."""
 
     guard: str
-    rows: list[LongRangeRow]
+    rows: list
+    failed_units: list[FailedUnit] = field(default_factory=list)
+
+    total_attempts = _total("attempts")
+
+
+@dataclass
+class SingleGlitchScan(_GuardScan):
+    """Table I: single glitches across the loop's clock cycles (``CycleRow``)."""
+
+    total_successes = _total("successes")
+    success_rate = _rate("successes")
+
+    @property
+    def unique_register_values(self) -> int:
+        return len(set().union(*(row.register_values for row in self.rows)))
+
+
+@dataclass
+class MultiGlitchScan(_GuardScan):
+    """Table II: two identical back-to-back glitches (``MultiCycleRow``)."""
+
+    total_partial = _total("partial")
+    total_full = _total("full")
+    partial_rate = _rate("partial")
+    full_rate = _rate("full")
+
+
+@dataclass
+class LongGlitchScan(_GuardScan):
+    """Table III: long glitches over two subsequent loops (``LongRangeRow``)."""
+
+    total_successes = _total("successes")
+    success_rate = _rate("successes")
+
+
+@dataclass
+class DefenseScanResult:
+    """Successes and detections for one attack against one defended build."""
+
+    scenario: str = ""
+    defense: str = ""
+    attack: str = ""
+    attempts: int = 0
+    successes: int = 0
+    detections: int = 0
+    resets: int = 0
+    no_effect: int = 0
     failed_units: list[FailedUnit] = field(default_factory=list)
 
     @property
-    def total_attempts(self) -> int:
-        return sum(row.attempts for row in self.rows)
-
-    @property
-    def total_successes(self) -> int:
-        return sum(row.successes for row in self.rows)
-
-    @property
     def success_rate(self) -> float:
-        return self.total_successes / self.total_attempts if self.total_attempts else 0.0
+        return self.successes / self.attempts if self.attempts else 0.0
+
+    @property
+    def detection_rate(self) -> float:
+        """Paper's definition: detections / (detections + successes)."""
+        denominator = self.detections + self.successes
+        return self.detections / denominator if denominator else 0.0
 
 
-# ----------------------------------------------------------------------
-# grid iteration (with an optional stride for fast tests)
-# ----------------------------------------------------------------------
-
-def _validate_stride(stride: int) -> int:
-    if not isinstance(stride, int) or isinstance(stride, bool):
-        raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    if stride < 1:
-        raise ValueError(
-            f"stride must be >= 1, got {stride} (a non-positive stride would "
-            f"produce an empty or reversed grid and a silently wrong scan)"
-        )
-    return stride
-
-
-def _grid(stride: int) -> list[tuple[int, int]]:
-    _validate_stride(stride)
-    return [
-        (width, offset)
-        for width in WIDTH_RANGE[::stride]
-        for offset in OFFSET_RANGE[::stride]
-    ]
+#: Table VI attack shapes: (ext_offsets, repeat per attempt)
+ATTACK_SHAPES = {
+    # single glitch, clock cycle varied 0-10 → 11 × 9,801 = 107,811 attempts
+    "single": tuple((ext, 1) for ext in range(0, 11)),
+    # long glitch, 10-100 cycles in increments of 10 → 10 × 9,801 = 98,010
+    "long": tuple((0, repeat) for repeat in range(10, 101, 10)),
+    # windowed long glitch: fixed 10 cycles, start varied 0-100 by 10 → 107,811
+    "windowed": tuple((start, 10) for start in range(0, 101, 10)),
+}
 
 
 def map_cycles_to_instructions(glitcher: ClockGlitcher, n_cycles: int) -> dict[int, str]:
@@ -203,154 +192,259 @@ def map_cycles_to_instructions(glitcher: ClockGlitcher, n_cycles: int) -> dict[i
     # (Table I lists BEQ spanning cycles 5-7).
     previous = "-"
     for rel in range(n_cycles):
-        if rel in mapping:
-            previous = mapping[rel]
-        else:
-            mapping[rel] = previous
+        previous = mapping.setdefault(rel, previous)
     return mapping
 
 
 # ----------------------------------------------------------------------
-# scans
+# scan shapes and the one scan skeleton
 # ----------------------------------------------------------------------
-#
-# Each scan is decomposed into per-row work units: a picklable spec names
-# the guard/cycle/stride, and the worker rebuilds its own firmware +
-# glitcher. The guard firmware never touches nonvolatile state, so a fresh
-# board per row produces exactly the rows a single shared board would —
-# which is what lets the in-process (``workers=1``) path keep one shared
-# glitcher while the multiprocessing path stays bit-identical.
 
-def _single_row(
-    glitcher: ClockGlitcher, comparator_register: int, cycle: int, stride: int
-) -> CycleRow:
-    row = CycleRow(cycle=cycle, instruction="-")
-    for width, offset in _grid(stride):
-        result = glitcher.run_attempt(GlitchParams(cycle, width, offset))
-        row.attempts += 1
-        if result.category == "success":
-            row.successes += 1
-            value = result.registers[comparator_register] & 0xFFFFFFFF
-            row.register_values[value] += 1
-        elif result.category == "reset":
-            row.resets += 1
-    return row
+@dataclass(frozen=True)
+class ScanShape:
+    """What one kind of grid scan fires and how it tallies each attempt.
 
+    ``variant`` is the guard-firmware variant a guard-name target is built
+    as; ``None`` means the target is a ready firmware image. Guard firmware
+    never touches nonvolatile state, so its rows share one board on the
+    serial path; an image's units each get a freshly power-cycled board,
+    which keeps tallies independent of execution order even when the seed
+    page evolves across attempts (the random-delay defense).
+    """
 
-def _multi_row(glitcher: ClockGlitcher, cycle: int, stride: int) -> MultiCycleRow:
-    row = MultiCycleRow(cycle=cycle)
-    for width, offset in _grid(stride):
-        result = glitcher.run_attempt(GlitchParams(cycle, width, offset))
-        row.attempts += 1
-        if result.category == "success":
-            row.full += 1
-        elif result.category == "partial":
-            row.partial += 1
-    return row
+    kind: str
+    variant: Optional[str]
+    triggers: int
+    #: (unit key, width, offset) → the glitch one attempt fires
+    params: Callable[[Any, int, int], GlitchParams]
+    #: row dataclass, and the field that stores the unit key (if any)
+    row: type
+    key_field: Optional[str]
+    #: attempt category → the row field counting it
+    tally: dict[str, str]
+    #: ``outcome.*`` counter label of a category, where it is not the category
+    labels: dict[str, str] = field(default_factory=dict)
+    #: guard → comparator register whose value every success records
+    register_of: Optional[Callable[[str], int]] = None
 
 
-def _long_row(glitcher: ClockGlitcher, last: int, stride: int) -> LongRangeRow:
-    row = LongRangeRow(last_cycle=last)
-    for width, offset in _grid(stride):
-        result = glitcher.run_attempt(
-            GlitchParams(ext_offset=0, width=width, offset=offset, repeat=last + 1)
-        )
-        row.attempts += 1
-        if result.category == "success":
-            row.successes += 1
-    return row
+def _comparator_register(guard: str) -> int:
+    from repro.firmware.loops import guard_descriptor
+
+    return guard_descriptor(guard).comparator_register
+
+
+#: scan kind → shape, for Tables I, II, III and VI
+SCAN_SHAPES: dict[str, ScanShape] = {shape.kind: shape for shape in (
+    ScanShape("single", "single", 1, GlitchParams, CycleRow, "cycle",
+              {"success": "successes", "reset": "resets"},
+              register_of=_comparator_register),
+    ScanShape("multi", "double", 2, GlitchParams, MultiCycleRow, "cycle",
+              {"success": "full", "partial": "partial"}, labels={"success": "full"}),
+    ScanShape("long", "contiguous", 1,
+              lambda last, width, offset: GlitchParams(0, width, offset, last + 1),
+              LongRangeRow, "last_cycle", {"success": "successes"}),
+    ScanShape("defense", None, 1,
+              lambda key, width, offset: GlitchParams(key[0], width, offset, key[1]),
+              DefenseScanResult, None,
+              {"success": "successes", "detected": "detections", "reset": "resets",
+               "no_effect": "no_effect"}),
+)}
 
 
 @dataclass(frozen=True)
-class _GuardRowSpec:
-    """Picklable work unit: one scan row against a freshly-built guard board."""
+class _ScanUnit:
+    """Picklable work unit: one unit key swept over the whole grid.
 
-    kind: str  # "single" | "multi" | "long"
-    guard: str
-    cycle: int
+    A worker builds its own board from ``firmware``; a fresh board per
+    guard-scan row produces exactly the rows the shared serial-path board
+    does, so the multiprocessing path stays bit-identical.
+    """
+
+    kind: str
+    firmware: Any = field(repr=False)  # AssembledProgram — pickles cleanly
+    key: Any
     stride: int
     fault_model: Optional[FaultModel]
+    detect: Optional[str]
+    register: Optional[int]
 
 
-# checkpoint codecs: one JSON-able payload per completed scan row ----------
-
-def _encode_single_row(row: CycleRow) -> dict:
-    return {
-        "cycle": row.cycle,
-        "attempts": row.attempts,
-        "successes": row.successes,
-        "resets": row.resets,
-        "register_values": {str(value): count for value, count in row.register_values.items()},
-    }
-
-
-def _decode_single_row(payload: dict) -> CycleRow:
-    return CycleRow(
-        cycle=payload["cycle"],
-        instruction="-",  # re-derived from the live instruction map after the merge
-        attempts=payload["attempts"],
-        successes=payload["successes"],
-        resets=payload["resets"],
-        register_values=Counter(
-            {int(value): count for value, count in payload["register_values"].items()}
-        ),
+def _scan_unit(unit: _ScanUnit):
+    glitcher = ClockGlitcher(
+        unit.firmware, fault_model=unit.fault_model, detect_symbol=unit.detect,
+        expected_triggers=SCAN_SHAPES[unit.kind].triggers,
     )
+    return _scan_row(unit, glitcher)
 
 
-def _encode_multi_row(row: MultiCycleRow) -> dict:
-    return {"cycle": row.cycle, "attempts": row.attempts,
-            "partial": row.partial, "full": row.full}
+def _scan_row(unit: _ScanUnit, glitcher: ClockGlitcher):
+    shape = SCAN_SHAPES[unit.kind]
+    params, key, register, tally = shape.params, unit.key, unit.register, shape.tally
+    counts = dict.fromkeys(tally.values(), 0)
+    values: Counter = Counter()
+    grid = width_offset_grid(unit.stride)
+    for width, offset in grid:
+        result = glitcher.run_attempt(params(key, width, offset))
+        name = tally.get(result.category)
+        if name is not None:
+            counts[name] += 1
+            if register is not None and result.category == "success":
+                values[result.registers[register] & 0xFFFFFFFF] += 1
+    row = {"attempts": len(grid), **counts}
+    if shape.key_field is not None:
+        row[shape.key_field] = key
+    if register is not None:
+        row["register_values"] = values
+    return shape.row(**row)
 
 
-def _decode_multi_row(payload: dict) -> MultiCycleRow:
-    return MultiCycleRow(**payload)
+# checkpoint codec: a row's int and Counter fields — its key and tallies —
+# as one JSON object (a Counter as [value, count] pairs, which keep integer
+# keys and insertion order); str fields are labels the scan fills in itself
+
+def _encode_row(row) -> dict:
+    payload = {}
+    for entry in fields(row):
+        value = getattr(row, entry.name)
+        if isinstance(value, Counter):
+            payload[entry.name] = list(value.items())
+        elif isinstance(value, int):
+            payload[entry.name] = value
+    return payload
 
 
-def _encode_long_row(row: LongRangeRow) -> dict:
-    return {"last_cycle": row.last_cycle, "attempts": row.attempts,
-            "successes": row.successes}
+def _decode_row(row_type: type, payload: dict):
+    return row_type(**{
+        entry.name: Counter(dict(payload[entry.name]))
+        if entry.default_factory is Counter else payload[entry.name]
+        for entry in fields(row_type) if entry.name in payload
+    })
 
 
-def _decode_long_row(payload: dict) -> LongRangeRow:
-    return LongRangeRow(**payload)
+def run_scan(
+    kind: str,
+    target,
+    keys: Iterable,
+    labels: dict[str, str],
+    fault_model=None,
+    stride: int = 1,
+    glitcher: Optional[ClockGlitcher] = None,
+    detect_symbol: Optional[str] = None,
+    workers: int = 1,
+    progress: Optional[ProgressReporter] = None,
+    checkpoint_dir: Optional[str] = None,
+    resume: bool = False,
+    retries: int = 0,
+    unit_timeout: Optional[float] = None,
+    obs: Optional[Observer] = None,
+    chunk_size: Optional[int] = None,
+    profile=None,
+) -> tuple[list, list[FailedUnit], Optional[ClockGlitcher]]:
+    """Sweep the (width, offset) grid once per unit key of one scan shape.
 
+    ``kind`` names a :data:`SCAN_SHAPES` entry; ``target`` is a guard name,
+    or a firmware image for ``defense``. ``labels`` name the scan in its
+    trace span, ``scan`` event and checkpoint; the first value is the
+    span's bracketed name. Returns the completed rows in key order, the
+    quarantined units, and the glitcher shared by the serial path (``None``
+    for image targets).
 
-def _scan_checkpoint(
-    checkpoint_dir, resume, kind: str, guard: str, cycles: list[int],
-    stride: int, fault_model: Optional[FaultModel],
-):
-    """Open the checkpoint for one guard scan, or ``None`` when not requested."""
-    if checkpoint_dir is None and not resume:
-        return None
-    meta = {
-        "campaign": f"scan-{kind}",
-        "guard": guard,
-        "cycles": list(cycles),
-        "stride": stride,
-        "fault_seed": fault_model.seed if fault_model is not None else None,
-        "fault_model": model_label(fault_model),
-    }
-    return open_campaign_checkpoint(
-        checkpoint_dir, f"scan-{kind}-{guard}", meta, resume=resume
+    ``fault_model`` accepts a :class:`FaultModel` instance or a registered
+    model name; ``profile`` a named calibration from
+    :data:`repro.hw.models.PROFILES`. A pre-built ``glitcher`` carries its
+    own fault model, so combining it with ``fault_model``/``profile`` (or
+    with ``workers > 1`` — a live board cannot be shipped to worker
+    processes) raises ``ValueError``.
+
+    ``checkpoint_dir``/``resume`` persist completed rows by unit key, so an
+    interrupted scan restarts only its missing keys. The checkpoint is keyed
+    by the labels, keys, stride, a digest of the firmware and the fault
+    model's :func:`~repro.hw.models.model_fingerprint`. ``retries``/
+    ``unit_timeout`` retry a failing row before quarantining it.
+    """
+    shape = SCAN_SHAPES[kind]
+    if glitcher is not None and (fault_model is not None or profile is not None):
+        raise ValueError(
+            "pass either a pre-built glitcher or a fault_model/profile, not "
+            "both: the glitcher was already constructed with its own fault "
+            "model, so the fault_model argument would be silently ignored"
+        )
+    fault_model = resolve_fault_model(fault_model, profile)
+    width_offset_grid(stride)  # reject a bad stride before building anything
+    keys = list(keys)
+    obs = coerce_observer(obs)
+    executor = ParallelExecutor(
+        workers=workers, chunk_size=chunk_size, progress=progress,
+        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
+        obs=obs,
     )
+    if glitcher is not None:
+        if executor.parallel:
+            raise ValueError(
+                "a pre-built glitcher cannot be used with workers > 1; "
+                "pass fault_model and let each worker build its own board"
+            )
+        firmware, fault_model = glitcher.firmware, glitcher.fault_model
+    elif shape.variant is None:
+        firmware = target
+    else:
+        from repro.firmware.loops import build_guard_firmware
+
+        firmware = build_guard_firmware(target, shape.variant)
+        glitcher = ClockGlitcher(
+            firmware, fault_model=fault_model, expected_triggers=shape.triggers
+        )
+    detect = detect_symbol if detect_symbol and detect_symbol in firmware.symbols else None
+    register = shape.register_of(target) if shape.register_of is not None else None
+    name = next(iter(labels.values()))
+    checkpoint = None
+    if checkpoint_dir is not None or resume:
+        meta = {
+            "campaign": f"scan-{kind}",
+            **labels,
+            "keys": keys,
+            "stride": stride,
+            "detect": detect,
+            "firmware": hashlib.sha1(
+                firmware.base.to_bytes(4, "little") + bytes(firmware.code)
+            ).hexdigest(),
+            "fault_model": model_fingerprint(fault_model),
+        }
+        checkpoint = open_campaign_checkpoint(
+            checkpoint_dir, f"scan-{kind}-{name}", meta, resume=resume
+        )
+    try:
+        with obs.trace(f"scan.{kind}[{name}]", **labels, stride=stride, units=len(keys)):
+            rows = executor.map(
+                _scan_unit,
+                [_ScanUnit(kind, firmware, key, stride, fault_model, detect, register)
+                 for key in keys],
+                serial_fn=None if glitcher is None else (lambda unit: _scan_row(unit, glitcher)),
+                attempts_of=lambda row: row.attempts,
+                categories_of=lambda row: {
+                    shape.labels.get(category, category): getattr(row, field_name)
+                    for category, field_name in shape.tally.items()
+                },
+                checkpoint=checkpoint,
+                key_of=lambda unit: str(unit.key),
+                encode=_encode_row,
+                decode=lambda payload: _decode_row(shape.row, payload),
+            )
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()
+    rows = [row for row in rows if row is not None]
+    if obs.enabled:
+        obs.event("scan", kind=kind, **labels, attempts=sum(row.attempts for row in rows),
+                  **{field_name: sum(getattr(row, field_name) for row in rows)
+                     for field_name in shape.tally.values()})
+    return rows, list(executor.failed_units), glitcher
 
 
-def _guard_row_unit(spec: _GuardRowSpec):
-    from repro.firmware.loops import build_guard_firmware, guard_descriptor
-
-    if spec.kind == "single":
-        firmware = build_guard_firmware(spec.guard, "single")
-        glitcher = ClockGlitcher(firmware, fault_model=spec.fault_model)
-        descriptor = guard_descriptor(spec.guard)
-        return _single_row(glitcher, descriptor.comparator_register, spec.cycle, spec.stride)
-    if spec.kind == "multi":
-        firmware = build_guard_firmware(spec.guard, "double")
-        glitcher = ClockGlitcher(firmware, fault_model=spec.fault_model, expected_triggers=2)
-        return _multi_row(glitcher, spec.cycle, spec.stride)
-    firmware = build_guard_firmware(spec.guard, "contiguous")
-    glitcher = ClockGlitcher(firmware, fault_model=spec.fault_model)
-    return _long_row(glitcher, spec.cycle, spec.stride)
-
+# ----------------------------------------------------------------------
+# the four scans
+# ----------------------------------------------------------------------
 
 def run_single_glitch_scan(
     guard: str,
@@ -370,80 +464,21 @@ def run_single_glitch_scan(
 ) -> SingleGlitchScan:
     """Table I: scan every (width, offset) for each glitched clock cycle.
 
-    ``fault_model`` accepts a :class:`FaultModel` instance or a registered
-    model name; ``profile`` a named calibration from
-    :data:`repro.hw.models.PROFILES` (see :func:`resolve_fault_model`).
-
-    ``workers`` distributes the per-cycle rows over processes. A pre-built
-    ``glitcher`` carries its own fault model, so combining it with
-    ``fault_model``/``profile`` (or with ``workers > 1`` — a live board
-    cannot be shipped to worker processes) raises ``ValueError``.
-
-    ``checkpoint_dir``/``resume`` persist completed rows (keyed by cycle)
-    so an interrupted scan restarts only its missing cycles; ``retries``/
-    ``unit_timeout`` retry a failing row before quarantining it into
-    ``failed_units``.
+    Every success records the guard's comparator register, and each row's
+    instruction is read off the pipeline. See :func:`run_scan` for the
+    model, glitcher, worker and checkpoint options.
     """
-    from repro.firmware.loops import build_guard_firmware, guard_descriptor
-
-    if glitcher is not None and (fault_model is not None or profile is not None):
-        raise ValueError(
-            "pass either a pre-built glitcher or a fault_model/profile, not "
-            "both: the glitcher was already constructed with its own fault "
-            "model, so the fault_model argument would be silently ignored"
-        )
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
     cycles = list(cycles)
-    descriptor = guard_descriptor(guard)
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
+    rows, failed_units, glitcher = run_scan(
+        "single", guard, cycles, {"guard": guard}, fault_model=fault_model,
+        stride=stride, glitcher=glitcher, workers=workers, progress=progress,
+        checkpoint_dir=checkpoint_dir, resume=resume, retries=retries,
+        unit_timeout=unit_timeout, obs=obs, chunk_size=chunk_size, profile=profile,
     )
-    if glitcher is not None and executor.parallel:
-        raise ValueError(
-            "a pre-built glitcher cannot be used with workers > 1; "
-            "pass fault_model and let each worker build its own board"
-        )
-    if glitcher is None:
-        firmware = build_guard_firmware(guard, "single")
-        glitcher = ClockGlitcher(firmware, fault_model=fault_model)
-    instruction_map = map_cycles_to_instructions(glitcher, max(cycles, default=0) + 1)
-    shared = glitcher
-    checkpoint = _scan_checkpoint(
-        checkpoint_dir, resume, "single", guard, cycles, stride, fault_model
-    )
-    try:
-        with obs.trace(f"scan.single[{guard}]", guard=guard, stride=stride,
-                       cycles=len(cycles)):
-            rows = executor.map(
-                _guard_row_unit,
-                [_GuardRowSpec("single", guard, cycle, stride, fault_model) for cycle in cycles],
-                serial_fn=lambda spec: _single_row(
-                    shared, descriptor.comparator_register, spec.cycle, spec.stride
-                ),
-                attempts_of=lambda row: row.attempts,
-                categories_of=lambda row: {"success": row.successes, "reset": row.resets},
-                checkpoint=checkpoint,
-                key_of=lambda spec: str(spec.cycle),
-                encode=_encode_single_row,
-                decode=_decode_single_row,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    rows = [row for row in rows if row is not None]
+    instructions = map_cycles_to_instructions(glitcher, max(cycles, default=0) + 1)
     for row in rows:
-        row.instruction = instruction_map.get(row.cycle, "-")
-    scan = SingleGlitchScan(
-        guard=guard, rows=rows, failed_units=list(executor.failed_units)
-    )
-    if obs.enabled:
-        obs.event("scan", kind="single", guard=guard,
-                  attempts=scan.total_attempts, successes=scan.total_successes)
-    return scan
+        row.instruction = instructions.get(row.cycle, "-")
+    return SingleGlitchScan(guard=guard, rows=rows, failed_units=failed_units)
 
 
 def run_multi_glitch_scan(
@@ -462,49 +497,13 @@ def run_multi_glitch_scan(
     profile=None,
 ) -> MultiGlitchScan:
     """Table II: the same glitch fired after each of two triggers."""
-    from repro.firmware.loops import build_guard_firmware
-
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
-    cycles = list(cycles)
-    firmware = build_guard_firmware(guard, "double")
-    glitcher = ClockGlitcher(firmware, fault_model=fault_model, expected_triggers=2)
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
+    rows, failed_units, _ = run_scan(
+        "multi", guard, cycles, {"guard": guard}, fault_model=fault_model,
+        stride=stride, workers=workers, progress=progress,
+        checkpoint_dir=checkpoint_dir, resume=resume, retries=retries,
+        unit_timeout=unit_timeout, obs=obs, chunk_size=chunk_size, profile=profile,
     )
-    checkpoint = _scan_checkpoint(
-        checkpoint_dir, resume, "multi", guard, cycles, stride, fault_model
-    )
-    try:
-        with obs.trace(f"scan.multi[{guard}]", guard=guard, stride=stride,
-                       cycles=len(cycles)):
-            rows = executor.map(
-                _guard_row_unit,
-                [_GuardRowSpec("multi", guard, cycle, stride, fault_model) for cycle in cycles],
-                serial_fn=lambda spec: _multi_row(glitcher, spec.cycle, spec.stride),
-                attempts_of=lambda row: row.attempts,
-                categories_of=lambda row: {"full": row.full, "partial": row.partial},
-                checkpoint=checkpoint,
-                key_of=lambda spec: str(spec.cycle),
-                encode=_encode_multi_row,
-                decode=_decode_multi_row,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    scan = MultiGlitchScan(
-        guard=guard,
-        rows=[row for row in rows if row is not None],
-        failed_units=list(executor.failed_units),
-    )
-    if obs.enabled:
-        obs.event("scan", kind="multi", guard=guard,
-                  attempts=scan.total_attempts, full=scan.total_full,
-                  partial=scan.total_partial)
-    return scan
+    return MultiGlitchScan(guard=guard, rows=rows, failed_units=failed_units)
 
 
 def run_long_glitch_scan(
@@ -523,137 +522,13 @@ def run_long_glitch_scan(
     profile=None,
 ) -> LongGlitchScan:
     """Table III: one glitch spanning cycles 0..last over two adjacent loops."""
-    from repro.firmware.loops import build_guard_firmware
-
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
-    last_cycles = list(last_cycles)
-    firmware = build_guard_firmware(guard, "contiguous")
-    glitcher = ClockGlitcher(firmware, fault_model=fault_model)
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
+    rows, failed_units, _ = run_scan(
+        "long", guard, last_cycles, {"guard": guard}, fault_model=fault_model,
+        stride=stride, workers=workers, progress=progress,
+        checkpoint_dir=checkpoint_dir, resume=resume, retries=retries,
+        unit_timeout=unit_timeout, obs=obs, chunk_size=chunk_size, profile=profile,
     )
-    checkpoint = _scan_checkpoint(
-        checkpoint_dir, resume, "long", guard, last_cycles, stride, fault_model
-    )
-    try:
-        with obs.trace(f"scan.long[{guard}]", guard=guard, stride=stride,
-                       cycles=len(last_cycles)):
-            rows = executor.map(
-                _guard_row_unit,
-                [_GuardRowSpec("long", guard, last, stride, fault_model) for last in last_cycles],
-                serial_fn=lambda spec: _long_row(glitcher, spec.cycle, spec.stride),
-                attempts_of=lambda row: row.attempts,
-                categories_of=lambda row: {"success": row.successes},
-                checkpoint=checkpoint,
-                key_of=lambda spec: str(spec.cycle),
-                encode=_encode_long_row,
-                decode=_decode_long_row,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    scan = LongGlitchScan(
-        guard=guard,
-        rows=[row for row in rows if row is not None],
-        failed_units=list(executor.failed_units),
-    )
-    if obs.enabled:
-        obs.event("scan", kind="long", guard=guard,
-                  attempts=scan.total_attempts, successes=scan.total_successes)
-    return scan
-
-
-__all__ = [
-    "CycleRow",
-    "SingleGlitchScan",
-    "MultiCycleRow",
-    "MultiGlitchScan",
-    "LongRangeRow",
-    "LongGlitchScan",
-    "run_single_glitch_scan",
-    "run_multi_glitch_scan",
-    "run_long_glitch_scan",
-    "map_cycles_to_instructions",
-]
-
-
-# ----------------------------------------------------------------------
-# Table VI: attacks against defended firmware
-# ----------------------------------------------------------------------
-
-@dataclass
-class DefenseScanResult:
-    """Successes and detections for one attack against one defended build."""
-
-    scenario: str
-    defense: str
-    attack: str
-    attempts: int = 0
-    successes: int = 0
-    detections: int = 0
-    resets: int = 0
-    no_effect: int = 0
-    failed_units: list[FailedUnit] = field(default_factory=list)
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.attempts if self.attempts else 0.0
-
-    @property
-    def detection_rate(self) -> float:
-        """Paper's definition: detections / (detections + successes)."""
-        denominator = self.detections + self.successes
-        return self.detections / denominator if denominator else 0.0
-
-
-#: Table VI attack shapes: (ext_offsets, repeat per attempt)
-ATTACK_SHAPES = {
-    # single glitch, clock cycle varied 0-10 → 11 × 9,801 = 107,811 attempts
-    "single": tuple((ext, 1) for ext in range(0, 11)),
-    # long glitch, 10-100 cycles in increments of 10 → 10 × 9,801 = 98,010
-    "long": tuple((0, repeat) for repeat in range(10, 101, 10)),
-    # windowed long glitch: fixed 10 cycles, start varied 0-100 by 10 → 107,811
-    "windowed": tuple((start, 10) for start in range(0, 101, 10)),
-}
-
-
-@dataclass(frozen=True)
-class _DefenseShapeSpec:
-    """Picklable work unit: one attack shape element against one image."""
-
-    image: object  # AssembledProgram — plain bytes/dicts, pickles cleanly
-    ext_offset: int
-    repeat: int
-    stride: int
-    fault_model: Optional[FaultModel]
-    detect: Optional[str]
-
-
-def _defense_shape_unit(spec: _DefenseShapeSpec) -> DefenseScanResult:
-    glitcher = ClockGlitcher(
-        spec.image, fault_model=spec.fault_model, detect_symbol=spec.detect
-    )
-    tally = DefenseScanResult(scenario="", defense="", attack="")
-    for width, offset in _grid(spec.stride):
-        outcome = glitcher.run_attempt(
-            GlitchParams(
-                ext_offset=spec.ext_offset, width=width, offset=offset, repeat=spec.repeat
-            )
-        )
-        tally.attempts += 1
-        if outcome.category == "success":
-            tally.successes += 1
-        elif outcome.category == "detected":
-            tally.detections += 1
-        elif outcome.category == "reset":
-            tally.resets += 1
-        else:
-            tally.no_effect += 1
-    return tally
+    return LongGlitchScan(guard=guard, rows=rows, failed_units=failed_units)
 
 
 def run_defense_scan(
@@ -685,81 +560,38 @@ def run_defense_scan(
     attempt-to-attempt, exactly like a real bench session.
     """
     try:
-        shape = ATTACK_SHAPES[attack]
+        keys = ATTACK_SHAPES[attack]
     except KeyError:
         raise ValueError(f"unknown attack {attack!r}; expected one of {sorted(ATTACK_SHAPES)}")
-    fault_model = resolve_fault_model(fault_model, profile)
-    _validate_stride(stride)
-    detect = detect_symbol if detect_symbol and detect_symbol in image.symbols else None
-    obs = coerce_observer(obs)
-    executor = ParallelExecutor(
-        workers=workers, chunk_size=chunk_size, progress=progress,
-        retries=retries, unit_timeout=unit_timeout, on_error="quarantine",
-        obs=obs,
+    rows, failed_units, _ = run_scan(
+        "defense", image, keys, {"attack": attack, "scenario": scenario, "defense": defense},
+        fault_model=fault_model, stride=stride, detect_symbol=detect_symbol,
+        workers=workers, progress=progress, checkpoint_dir=checkpoint_dir,
+        resume=resume, retries=retries, unit_timeout=unit_timeout, obs=obs,
+        chunk_size=chunk_size, profile=profile,
     )
-    checkpoint = None
-    if checkpoint_dir is not None or resume:
-        meta = {
-            "campaign": "defense",
-            "scenario": scenario,
-            "defense": defense,
-            "attack": attack,
-            "stride": stride,
-            "detect": detect,
-            "fault_seed": fault_model.seed if fault_model is not None else None,
-            "fault_model": model_label(fault_model),
-        }
-        checkpoint = open_campaign_checkpoint(
-            checkpoint_dir, f"defense-{attack}", meta, resume=resume
-        )
-    try:
-        with obs.trace(
-            f"scan.defense[{attack}]", attack=attack,
-            scenario=scenario, defense=defense, stride=stride,
-        ):
-            partials = executor.map(
-                _defense_shape_unit,
-                [
-                    _DefenseShapeSpec(image, ext_offset, repeat, stride, fault_model, detect)
-                    for ext_offset, repeat in shape
-                ],
-                attempts_of=lambda tally: tally.attempts,
-                categories_of=lambda tally: {
-                    "success": tally.successes,
-                    "detected": tally.detections,
-                    "reset": tally.resets,
-                    "no_effect": tally.no_effect,
-                },
-                checkpoint=checkpoint,
-                key_of=lambda spec: f"{spec.ext_offset}x{spec.repeat}",
-                encode=lambda tally: {
-                    "attempts": tally.attempts,
-                    "successes": tally.successes,
-                    "detections": tally.detections,
-                    "resets": tally.resets,
-                    "no_effect": tally.no_effect,
-                },
-                decode=lambda payload: DefenseScanResult(
-                    scenario="", defense="", attack="", **payload
-                ),
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    result = DefenseScanResult(
-        scenario=scenario, defense=defense, attack=attack,
-        failed_units=list(executor.failed_units),
-    )
-    for tally in partials:
-        if tally is None:
-            continue
-        result.attempts += tally.attempts
-        result.successes += tally.successes
-        result.detections += tally.detections
-        result.resets += tally.resets
-        result.no_effect += tally.no_effect
-    if obs.enabled:
-        obs.event("scan", kind="defense", attack=attack, scenario=scenario,
-                  defense=defense, attempts=result.attempts,
-                  successes=result.successes, detections=result.detections)
+    result = DefenseScanResult(scenario, defense, attack, failed_units=failed_units)
+    for row in rows:
+        for name in ("attempts", *SCAN_SHAPES["defense"].tally.values()):
+            setattr(result, name, getattr(result, name) + getattr(row, name))
     return result
+
+
+__all__ = [
+    "CycleRow",
+    "SingleGlitchScan",
+    "MultiCycleRow",
+    "MultiGlitchScan",
+    "LongRangeRow",
+    "LongGlitchScan",
+    "DefenseScanResult",
+    "ATTACK_SHAPES",
+    "ScanShape",
+    "SCAN_SHAPES",
+    "run_scan",
+    "run_single_glitch_scan",
+    "run_multi_glitch_scan",
+    "run_long_glitch_scan",
+    "run_defense_scan",
+    "map_cycles_to_instructions",
+]

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.exec import open_campaign_checkpoint
 from repro.exec.checkpoint import MISSING
-from repro.hw.clock import GlitchParams, OFFSET_RANGE, WIDTH_RANGE
+from repro.hw.clock import GlitchParams, OFFSET_RANGE, WIDTH_RANGE, width_offset_grid
 from repro.hw.faults import FaultModel
 from repro.hw.glitcher import ClockGlitcher
 from repro.obs import Observer, coerce_observer
@@ -64,7 +64,7 @@ class ParameterSearch:
         profile=None,
     ):
         from repro.firmware.loops import build_guard_firmware
-        from repro.hw.models import model_label, resolve_fault_model
+        from repro.hw.models import model_fingerprint, resolve_fault_model
 
         self.guard = guard
         fault_model = resolve_fault_model(fault_model, profile)
@@ -87,8 +87,7 @@ class ParameterSearch:
                 "guard": guard,
                 "coarse_stride": coarse_stride,
                 "scan_cycles": scan_cycles,
-                "fault_seed": fault_model.seed if fault_model is not None else None,
-                "fault_model": model_label(fault_model),
+                "fault_model": model_fingerprint(fault_model),
             }
             self._checkpoint = open_campaign_checkpoint(
                 checkpoint_dir, f"search-{guard}", meta, resume=resume,
@@ -139,15 +138,11 @@ class ParameterSearch:
 
         # Phase 1: coarse scan with a wide (10-cycle) glitch.
         candidates = []
-        for width in WIDTH_RANGE[:: self.coarse_stride]:
+        for width, offset in width_offset_grid(self.coarse_stride):
             if self._exhausted():
                 break
-            for offset in OFFSET_RANGE[:: self.coarse_stride]:
-                if self._exhausted():
-                    break
-                params = GlitchParams(0, width, offset, repeat=self.scan_cycles)
-                if self._attempt(params):
-                    candidates.append((width, offset))
+            if self._attempt(GlitchParams(0, width, offset, repeat=self.scan_cycles)):
+                candidates.append((width, offset))
         result.history.append(f"coarse scan: {len(candidates)} candidate points")
         result.candidates_tested = len(candidates)
 

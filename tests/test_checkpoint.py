@@ -18,7 +18,13 @@ from repro.exec import (
     open_campaign_checkpoint,
 )
 from repro.glitchsim import run_branch_campaign
-from repro.hw.scan import run_defense_scan, run_single_glitch_scan
+from repro.hw.faults import FaultModel
+from repro.hw.scan import (
+    run_defense_scan,
+    run_long_glitch_scan,
+    run_multi_glitch_scan,
+    run_single_glitch_scan,
+)
 from repro.hw.search import ParameterSearch
 
 
@@ -176,38 +182,72 @@ class TestCampaignResume:
         assert resumed == baseline
 
 
+def _defended_image(scenario):
+    from repro.firmware.guards import build_defended_guard
+    from repro.resistor import ResistorConfig
+
+    return build_defended_guard(scenario, ResistorConfig.none()).image
+
+
+#: scan kind → a small scan of that kind, forwarding execution kwargs
+SCANS = {
+    "single": lambda **kw: run_single_glitch_scan("a", cycles=range(3), stride=24, **kw),
+    "multi": lambda **kw: run_multi_glitch_scan("not_a", cycles=range(3), stride=24, **kw),
+    "long": lambda **kw: run_long_glitch_scan("not_a", last_cycles=(10, 11, 12), stride=24, **kw),
+    "defense": lambda **kw: run_defense_scan(
+        _defended_image("while_not_a"), "long", scenario="while_not_a", defense="none",
+        stride=24, **kw
+    ),
+}
+
+
 class TestScanResume:
-    def test_single_glitch_scan_resumes_to_identical_rows(self, tmp_path):
-        kwargs = dict(cycles=range(3), stride=24)
-        baseline = run_single_glitch_scan("a", **kwargs)
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_scan_resumes_to_identical_rows(self, tmp_path, kind):
+        scan = SCANS[kind]
+        baseline = scan()
         with pytest.raises(KeyboardInterrupt):
-            run_single_glitch_scan(
-                "a", checkpoint_dir=tmp_path, progress=_interrupt_after(1), **kwargs
-            )
-        resumed = run_single_glitch_scan(
-            "a", checkpoint_dir=tmp_path, resume=True, **kwargs
-        )
+            scan(checkpoint_dir=tmp_path, progress=_interrupt_after(1))
+        resumed = scan(checkpoint_dir=tmp_path, resume=True)
+        # rows compare every field: tallies, register values, instructions
         assert resumed == baseline
-        assert [row.instruction for row in resumed.rows] == [
-            row.instruction for row in baseline.rows
-        ]
 
-    def test_defense_scan_resumes_to_identical_tally(self, tmp_path):
-        from repro.firmware.guards import build_defended_guard
-        from repro.resistor import ResistorConfig
 
-        image = build_defended_guard("while_not_a", ResistorConfig.none()).image
-        kwargs = dict(scenario="while_not_a", defense="none", stride=24)
-        baseline = run_defense_scan(image, "long", **kwargs)
-        with pytest.raises(KeyboardInterrupt):
-            run_defense_scan(
-                image, "long", checkpoint_dir=tmp_path,
-                progress=_interrupt_after(4), **kwargs
-            )
+class TestCheckpointFingerprint:
+    """A checkpoint resumes only the scan or search that wrote it."""
+
+    def test_defense_resume_ignores_another_images_tallies(self, tmp_path):
+        first, second = _defended_image("while_not_a"), _defended_image("if_success")
+        run_defense_scan(first, "single", stride=24, checkpoint_dir=tmp_path)
         resumed = run_defense_scan(
-            image, "long", checkpoint_dir=tmp_path, resume=True, **kwargs
+            second, "single", stride=24, checkpoint_dir=tmp_path, resume=True
         )
-        assert resumed == baseline
+        assert resumed == run_defense_scan(second, "single", stride=24)
+
+    @pytest.mark.parametrize("written, resumed_with", [
+        (dict(fault_model="em"), dict(profile="em-probe-4mm")),
+        (dict(fault_model=FaultModel()),
+         dict(fault_model=FaultModel(width_center=-15, offset_center=25))),
+    ], ids=["profile", "constructor"])
+    def test_scan_resume_ignores_another_calibrations_tallies(
+        self, tmp_path, written, resumed_with
+    ):
+        run_single_glitch_scan("not_a", stride=12, checkpoint_dir=tmp_path, **written)
+        resumed = run_single_glitch_scan(
+            "not_a", stride=12, checkpoint_dir=tmp_path, resume=True, **resumed_with
+        )
+        assert resumed == run_single_glitch_scan("not_a", stride=12, **resumed_with)
+
+    def test_search_resume_ignores_another_calibrations_log(self, tmp_path):
+        search = ParameterSearch("a", fault_model=FaultModel(), checkpoint_dir=tmp_path)
+        search.run(max_attempts=50)
+        search.close()
+        other = ParameterSearch(
+            "a", fault_model=FaultModel(width_center=-15, offset_center=25),
+            checkpoint_dir=tmp_path, resume=True,
+        )
+        other.close()
+        assert len(list(tmp_path.glob("search-a-*.jsonl"))) == 2
 
 
 class TestSearchResume:

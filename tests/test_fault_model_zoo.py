@@ -21,6 +21,7 @@ from repro.hw import (
     CalibrationProfile,
     EMFaultModel,
     SkipReplayModel,
+    model_fingerprint,
     model_label,
     resolve_fault_model,
     resolve_model_axis,
@@ -167,6 +168,30 @@ class TestModelAxis:
     def test_axis_conflict(self):
         with pytest.raises(GlitchConfigError, match="not both"):
             resolve_model_axis("clock", fault_models=("em",))
+
+
+class TestModelFingerprint:
+    def test_default_model_matches_none(self):
+        assert model_fingerprint(None) == model_fingerprint(FaultModel())
+        assert model_fingerprint(None).startswith("clock(")
+
+    def test_calibration_changes_fingerprint(self):
+        assert model_fingerprint(resolve_fault_model("em")) != model_fingerprint(
+            resolve_fault_model(profile="em-probe-4mm")
+        )
+        assert model_fingerprint(FaultModel(width_center=-15)) != model_fingerprint(None)
+        assert model_fingerprint(VoltageFaultModel(recharge_cycles=8)) != model_fingerprint(
+            VoltageFaultModel()
+        )
+        assert model_fingerprint(SkipReplayModel(effect="skip")) != model_fingerprint(
+            SkipReplayModel(effect="replay")
+        )
+
+    def test_run_state_does_not_change_fingerprint(self):
+        model = VoltageFaultModel()
+        before = model_fingerprint(model)
+        model._last_bite_cycle = 1234  # mid-run recharge marker
+        assert model_fingerprint(model) == before
 
 
 # ----------------------------------------------------------------------

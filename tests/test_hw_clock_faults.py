@@ -8,13 +8,17 @@ from repro.errors import GlitchConfigError
 from repro.hw.clock import (
     GRID_POINTS,
     GlitchParams,
-    iter_width_offset_grid,
     normalized,
+    width_offset_grid,
 )
 from repro.hw.faults import EFFECT_KINDS, FaultModel, PipelineView
 
 WIDTHS = st.integers(-49, 49)
 OFFSETS = st.integers(-49, 49)
+
+
+def _grid_params():
+    return [GlitchParams(0, width, offset) for width, offset in width_offset_grid()]
 
 
 class TestGlitchParams:
@@ -41,9 +45,9 @@ class TestGlitchParams:
             GlitchParams(**kwargs)
 
     def test_grid_is_9801_points(self):
-        grid = list(iter_width_offset_grid(ext_offset=0))
-        assert len(grid) == GRID_POINTS == 9801
-        assert len({(p.width, p.offset) for p in grid}) == 9801
+        grid = width_offset_grid()
+        assert len(grid) == len(set(grid)) == GRID_POINTS == 9801
+        assert len(width_offset_grid(12)) == 9 * 9
 
     def test_normalized_range(self):
         assert normalized(-49) == -1.0
@@ -111,7 +115,7 @@ class TestSusceptibilityField:
         model = FaultModel()
         inert = sum(
             1
-            for params in iter_width_offset_grid(0)
+            for params in _grid_params()
             if model.occurrence_decision(params, 0) is None
         )
         assert inert / GRID_POINTS > 0.85
@@ -129,7 +133,7 @@ class TestSusceptibilityField:
 
 class TestEffectRealization:
     def _fault_params(self, model):
-        for params in iter_width_offset_grid(0):
+        for params in _grid_params():
             if model.occurrence_decision(params, 0) == "fault":
                 return params
         raise AssertionError("no faulting point found")  # pragma: no cover
